@@ -67,7 +67,13 @@ class Expression:
         return type(self) is type(other) and self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        # Trees are immutable, so the recursive hash is computed once.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = hash((type(self).__name__, self._key()))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def _key(self) -> tuple:
         raise NotImplementedError

@@ -14,6 +14,14 @@ enforced during plan extraction by the delivered-order discipline (see
 Rules that *remove* operators (T7/T8 transfer elimination, T9 identity
 projection, T11 sort removal) are realized as class **merges** backed by a
 union-find.
+
+The dedup index is **canonical**: it keys every element by its children's
+current union-find roots, and a merge re-keys the entries that named the
+losing class.  An element equivalent to one already present is therefore
+always a dedup hit, however many merges happened since the first was
+inserted.  :attr:`Memo.version` moves on every real insertion or merge, so
+callers detect change without comparing counts (a merge and an insert can
+cancel out).
 """
 
 from __future__ import annotations
@@ -96,8 +104,16 @@ class Memo:
     def __init__(self):
         self._classes: dict[int, EqClass] = {}
         self._parent: dict[int, int] = {}
+        #: Element key (children canonical) -> the class holding it.
         self._index: dict[tuple, int] = {}
+        #: Class id -> index keys naming it as a child, for re-keying when
+        #: it loses a merge (entries re-keyed through another child go stale
+        #: and are skipped).
+        self._users: dict[int, list[tuple]] = {}
         self._next_id = 0
+        self._element_count = 0
+        #: Bumped by every real insertion or merge.
+        self.version = 0
 
     # -- union-find ---------------------------------------------------------------
 
@@ -117,6 +133,7 @@ class Memo:
             return a
         winner, loser = (a, b) if a < b else (b, a)
         self._parent[loser] = winner
+        self.version += 1
         winner_class = self._classes[winner]
         loser_class = self._classes.pop(loser)
         existing = {element.key(self) for element in winner_class.elements}
@@ -125,7 +142,28 @@ class Memo:
             if key not in existing:
                 existing.add(key)
                 winner_class.elements.append(element)
+            else:
+                self._element_count -= 1
+        self._rekey(loser)
         return winner
+
+    def _rekey(self, loser: int) -> None:
+        """Re-key the index entries that name *loser* as a child."""
+        for key in self._users.pop(loser, ()):
+            class_id = self._index.pop(key, None)
+            if class_id is None:
+                continue  # already re-keyed through another child
+            signature, location, children = key
+            canonical = (signature, location, tuple(self.find(c) for c in children))
+            # An entry already under the canonical key is an equivalent
+            # element; either class answers a probe, so keep that one.
+            if canonical not in self._index:
+                self._register(canonical, class_id)
+
+    def _register(self, key: tuple, class_id: int) -> None:
+        self._index[key] = class_id
+        for child in set(key[2]):
+            self._users.setdefault(child, []).append(key)
 
     # -- access --------------------------------------------------------------------
 
@@ -142,7 +180,16 @@ class Memo:
 
     @property
     def element_count(self) -> int:
-        return sum(len(eq_class.elements) for eq_class in self._classes.values())
+        return self._element_count
+
+    def class_signature(self, class_id: int) -> tuple[int, int]:
+        """(canonical id, element count) of *class_id*'s class.
+
+        A class only grows while its id stays canonical, so an unchanged
+        signature means an unchanged element list.
+        """
+        root = self.find(class_id)
+        return root, len(self._classes[root].elements)
 
     def ref(self, class_id: int) -> ClassRef:
         """A :class:`ClassRef` leaf for building rule outputs."""
@@ -197,7 +244,9 @@ class Memo:
             class_id = self.find(into)
         element = Element(template, children)
         self._classes[class_id].elements.append(element)
-        self._index[key] = class_id
+        self._element_count += 1
+        self.version += 1
+        self._register(key, class_id)
         return class_id, True
 
     def _concrete(self, template: Operator, children: tuple[int, ...]) -> Operator:

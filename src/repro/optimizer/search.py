@@ -3,7 +3,9 @@
 Phase 1 ("initially, a set of candidate algebraic query plans is produced by
 means of the optimizer's transformation rules and heuristics"): the initial
 plan is inserted into a :class:`~repro.optimizer.memo.Memo` and the rules are
-applied to a fixpoint.
+applied to a fixpoint, semi-naively: a rule matches at most an element and
+the elements of its child classes, so an element is revisited only when it
+is new or one of those classes changed since its last visit.
 
 Phase 2 ("the optimizer considers in more detail each of these plans ...
 one best physical query execution plan is found"): a dynamic program over
@@ -53,6 +55,28 @@ class _Choice:
     cost: float
     plan: Operator
     delivered: Order
+
+
+@dataclass
+class _Exploration:
+    """Work done by one rule fixpoint."""
+
+    passes: int = 0
+    #: Rule firings (element visits times rules).
+    rule_applications: int = 0
+    #: Element visits skipped because nothing they match changed.
+    elements_skipped: int = 0
+
+
+@dataclass
+class _Extraction:
+    """One extraction's state: the DP table over (class, location, required
+    order) and each element's own cost by canonical element key (it does not
+    depend on the required order)."""
+
+    memo: Memo
+    choices: dict = field(default_factory=dict)
+    node_costs: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -114,21 +138,26 @@ class Optimizer:
             memo = Memo()
             root = memo.insert_tree(initial_plan)
             with self.tracer.span("explore", kind="phase") as explore_span:
-                passes = self._explore(memo)
+                exploration = self._explore(memo)
+                passes = exploration.passes
                 explore_span.set(
                     passes=passes,
                     classes=memo.class_count,
                     elements=memo.element_count,
+                    rule_applications=exploration.rule_applications,
+                    elements_skipped=exploration.elements_skipped,
                 )
             with self.tracer.span("extract", kind="phase"):
                 root = memo.find(root)
+                state = _Extraction(memo)
                 choice = self._best(
-                    memo, root, initial_plan.location, required_order, {}
+                    state, root, initial_plan.location, required_order
                 )
                 if choice is None and required_order:
                     # The initial plan itself guarantees the order, so this is
                     # unreachable unless statistics are degenerate; fall back.
-                    choice = self._best(memo, root, initial_plan.location, (), {})
+                    state = _Extraction(memo, node_costs=state.node_costs)
+                    choice = self._best(state, root, initial_plan.location, ())
             if choice is None:
                 raise OptimizerError("no valid plan found in the memo")
             span.set(
@@ -174,7 +203,7 @@ class Optimizer:
         root = memo.insert_tree(initial_plan)
         self._explore(memo)
         root = memo.find(root)
-        table: dict = {}
+        state = _Extraction(memo)
         choices: list[_Choice] = []
         seen: set[tuple] = set()
         for element in memo.class_of(root).elements:
@@ -183,11 +212,11 @@ class Optimizer:
                 continue
             seen.add(element_key)
             choice = self._element_choice(
-                memo, element, initial_plan.location, required_order, table
+                state, element, element_key, initial_plan.location, required_order
             )
             if choice is None and required_order:
                 choice = self._element_choice(
-                    memo, element, initial_plan.location, (), table
+                    state, element, element_key, initial_plan.location, ()
                 )
             if choice is not None:
                 choices.append(choice)
@@ -210,33 +239,63 @@ class Optimizer:
 
     # -- phase 1: rule fixpoint ------------------------------------------------------------
 
-    def _explore(self, memo: Memo) -> int:
-        passes = 0
+    def _explore(self, memo: Memo) -> _Exploration:
+        """Apply the rules to a fixpoint, semi-naively.
+
+        A rule reads at most the element and the elements of its child
+        classes.  So an element is visited only when it is new or when the
+        signature (see :meth:`Memo.class_signature`) of its own class or a child
+        class changed since its last visit, and it is offered only to the
+        rules matching its operator type; any other firing would be a
+        dedup hit.  Passes keep the naive loop's class and element order,
+        so the memo evolves exactly as if every rule re-fired on every
+        element.
+        """
+        work = _Exploration()
+        by_type: dict[type, list[Rule]] = {}
+        #: id(element) -> (element, signature at its last visit); holding
+        #: the element keeps its id from being reused.
+        visited: dict[int, tuple[Element, tuple]] = {}
         changed = True
-        while changed and passes < self.max_passes:
-            passes += 1
-            changed = False
+        while changed and work.passes < self.max_passes:
+            work.passes += 1
+            version = memo.version
             for eq_class in memo.classes():
                 if memo.element_count > self.max_elements:
-                    return passes
+                    return work
                 for element in list(eq_class.elements):
                     canonical = memo.find(eq_class.id)
-                    for rule in self.rules:
-                        if rule.apply(memo, canonical, element):
-                            changed = True
+                    signature = (memo.class_signature(canonical),) + tuple(
+                        memo.class_signature(child) for child in element.children
+                    )
+                    last = visited.get(id(element))
+                    if last is not None and last[1] == signature:
+                        work.elements_skipped += 1
+                        continue
+                    visited[id(element)] = (element, signature)
+                    kind = type(element.template)
+                    rules = by_type.get(kind)
+                    if rules is None:
+                        rules = by_type[kind] = [
+                            rule for rule in self.rules if issubclass(kind, rule.matches)
+                        ]
+                    for rule in rules:
+                        rule.apply(memo, canonical, element)
                         canonical = memo.find(canonical)
-        return passes
+                    work.rule_applications += len(rules)
+            changed = memo.version != version
+        return work
 
     # -- phase 2: extraction DP ---------------------------------------------------------------
 
     def _best(
         self,
-        memo: Memo,
+        state: _Extraction,
         class_id: int,
         location: Location,
         required: Order,
-        table: dict,
     ) -> _Choice | None:
+        memo, table = state.memo, state.choices
         class_id = memo.find(class_id)
         key = (class_id, location, tuple(name.lower() for name in required))
         cached = table.get(key)
@@ -253,7 +312,9 @@ class Optimizer:
             if element_key in seen:
                 continue
             seen.add(element_key)
-            choice = self._element_choice(memo, element, location, required, table)
+            choice = self._element_choice(
+                state, element, element_key, location, required
+            )
             if choice is not None and (best is None or choice.cost < best.cost):
                 best = choice
 
@@ -262,22 +323,23 @@ class Optimizer:
 
     def _element_choice(
         self,
-        memo: Memo,
+        state: _Extraction,
         element: Element,
+        element_key: tuple,
         location: Location,
         required: Order,
-        table: dict,
     ) -> _Choice | None:
         template = element.template
         if template.location is not location:
             return None
 
+        memo = state.memo
         requirements = self._child_requirements(memo, element, required)
         if requirements is None:
             return None
         child_choices: list[_Choice] = []
         for (child_loc, child_order), child_id in zip(requirements, element.children):
-            choice = self._best(memo, child_id, child_loc, child_order, table)
+            choice = self._best(state, child_id, child_loc, child_order)
             if choice is None:
                 return None
             child_choices.append(choice)
@@ -290,7 +352,10 @@ class Optimizer:
         delivered = self._delivered(template, child_choices)
         if required and not is_prefix_of(required, delivered):
             return None
-        node_cost = self.coster.node_cost(memo.concrete_element(element))
+        node_cost = state.node_costs.get(element_key)
+        if node_cost is None:
+            node_cost = self.coster.node_cost(memo.concrete_element(element))
+            state.node_costs[element_key] = node_cost
         total = node_cost + sum(choice.cost for choice in child_choices)
         return _Choice(total, plan, delivered)
 

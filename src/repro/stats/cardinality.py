@@ -62,8 +62,8 @@ class CardinalityEstimator:
         #: Optional repro.obs.metrics.MetricsRegistry counting cache traffic.
         self._metrics = metrics
         #: Optional :class:`~repro.core.cardinality.CardinalityFeedbackStore`
-        #: (anything with ``epoch`` and ``learned_cardinality(fp)``): a
-        #: learned cardinality overrides the derived one per subtree.
+        #: (anything with ``epoch``, ``len()`` and ``learned_cardinality(fp)``):
+        #: a learned cardinality overrides the derived one per subtree.
         self._feedback = feedback
         self._feedback_epoch = feedback.epoch if feedback is not None else 0
         self._fingerprints: dict[tuple, str | None] = {}
@@ -91,7 +91,9 @@ class CardinalityEstimator:
     def _apply_feedback(self, plan: Operator, stats: RelationStats) -> RelationStats:
         """Prefer a learned cardinality over the derived one (observed
         actuals outrank any model) — scaled copy, same attribute shapes."""
-        if self._feedback is None:
+        # An empty store learned nothing to apply.  Its epoch moves when the
+        # first entry lands, which clears the memoized stats above.
+        if self._feedback is None or not len(self._feedback):
             return stats
         key = plan.cache_key
         if key not in self._fingerprints:

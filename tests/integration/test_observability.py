@@ -35,7 +35,13 @@ class TestSpanTreeShape:
         for phase in phases:
             assert phase in names, f"missing {phase!r} span in {names}"
         optimize = trace.find(name="optimize")
-        assert optimize.find(name="explore") is not None
+        explore = optimize.find(name="explore")
+        assert explore is not None
+        work = explore.attributes
+        for counter in ("passes", "classes", "elements", "rule_applications"):
+            assert work[counter] > 0
+        # A pass after the first re-visits only what changed.
+        assert work["elements_skipped"] > 0 or work["passes"] == 1
         assert optimize.find(name="extract") is not None
         execute = trace.find(name="execute")
         transfers = [s for s in execute.iter() if s.kind == "transfer"]

@@ -8,6 +8,7 @@ Tango sessions, and the plan cache keying on the feedback epoch.
 
 import pytest
 
+from repro.algebra.builder import scan
 from repro.algebra.expressions import And, ColumnRef, Comparison, Literal
 from repro.algebra.operators import (
     Join,
@@ -27,6 +28,9 @@ from repro.core.cardinality import (
     trusted_nodes,
 )
 from repro.core.tango import Tango, TangoConfig
+from repro.dbms.jdbc import Connection
+from repro.stats.cardinality import CardinalityEstimator
+from repro.stats.collector import StatisticsCollector
 
 R_SCHEMA = Schema(
     [Attribute("RA", AttrType.INT), Attribute("RB", AttrType.INT)]
@@ -176,6 +180,36 @@ class TestFeedbackStoreEMA:
         assert store.epoch == before + 1
         store.clear()  # empty clear is a no-op
         assert store.epoch == before + 1
+
+
+class TestEmptyStoreEstimates:
+    """The estimator skips fingerprinting while the store is empty; that is
+    only sound because the first entry always moves the epoch, which
+    clears every estimate memoized before it."""
+
+    @pytest.mark.parametrize("first_entry", ["observe", "load"])
+    def test_first_entry_moves_the_epoch(self, tmp_path, first_entry):
+        store = CardinalityFeedbackStore()
+        if first_entry == "observe":
+            store.observe("fp", 10)
+        else:
+            source = CardinalityFeedbackStore()
+            source.observe("fp", 10)
+            path = str(tmp_path / "feedback.json")
+            source.save(path)
+            store.load(path)
+        assert len(store) == 1
+        assert store.epoch == 1
+
+    def test_first_entry_overrides_a_memoized_estimate(self, figure3_db):
+        store = CardinalityFeedbackStore()
+        estimator = CardinalityEstimator(
+            StatisticsCollector(Connection(figure3_db)), feedback=store
+        )
+        plan = scan(figure3_db, "POSITION").select(lt("T1", 5)).build()
+        derived = estimator.estimate(plan).cardinality
+        store.observe(plan_fingerprint(plan), derived + 40)
+        assert estimator.estimate(plan).cardinality == derived + 40
 
 
 class TestPersistence:

@@ -142,6 +142,80 @@ class TestMerging:
         assert memo.find(sort_elements[0].children[0]) == survivor
 
 
+class TestCanonicalIndex:
+    def test_element_naming_a_merged_loser_is_a_dedup_hit(self):
+        memo = Memo()
+        winner = memo.insert_tree(scan())
+        loser = memo.insert_tree(Scan("S", SCHEMA))
+        sort_class, _ = memo.add_element(
+            Sort(memo.ref(loser), Location.DBMS, ("K",)), (loser,)
+        )
+        assert memo.merge(winner, loser) == winner
+        counts = (memo.class_count, memo.element_count, memo.version)
+
+        class_id, was_new = memo.add_element(
+            Sort(memo.ref(loser), Location.DBMS, ("K",)), (loser,)
+        )
+
+        assert (class_id, was_new) == (sort_class, False)
+        assert (memo.class_count, memo.element_count, memo.version) == counts
+
+    def test_rekeyed_entry_survives_a_second_merge(self):
+        memo = Memo()
+        a = memo.insert_tree(scan())
+        b = memo.insert_tree(Scan("S", SCHEMA))
+        c = memo.insert_tree(Scan("U", SCHEMA))
+        sort_class, _ = memo.add_element(
+            Sort(memo.ref(c), Location.DBMS, ("K",)), (c,)
+        )
+        memo.merge(b, c)
+        memo.merge(a, b)
+        before = memo.version
+        assert memo.add_element(
+            Sort(memo.ref(a), Location.DBMS, ("K",)), (a,)
+        ) == (sort_class, False)
+        assert memo.version == before
+
+
+class TestVersionAndCount:
+    def test_version_moves_on_insert_and_merge_only(self):
+        memo = Memo()
+        a = memo.insert_tree(sorted_scan())
+        after_insert = memo.version
+        assert after_insert == 2
+        memo.insert_tree(sorted_scan())  # dedup hit
+        assert memo.version == after_insert
+        b = memo.insert_tree(scan())
+        memo.merge(a, b)
+        assert memo.version == after_insert + 1
+        memo.merge(a, b)  # already one class
+        assert memo.version == after_insert + 1
+
+    def test_element_count_matches_the_classes(self):
+        memo = Memo()
+        a = memo.insert_tree(sorted_scan())
+        b = memo.insert_tree(Sort(Scan("S", SCHEMA), Location.DBMS, ("K",)))
+        memo.insert_tree(Sort(scan(), Location.MIDDLEWARE, ("K",)), into=a)
+        memo.merge(memo.insert_tree(scan()), memo.insert_tree(Scan("S", SCHEMA)))
+        memo.merge(a, b)  # b's sort now duplicates a's and is dropped
+        assert memo.element_count == 4
+        assert memo.element_count == sum(
+            len(eq_class.elements) for eq_class in memo.classes()
+        )
+
+    def test_signature_tracks_growth_and_merges(self):
+        memo = Memo()
+        a = memo.insert_tree(sorted_scan())
+        first = memo.class_signature(a)
+        memo.insert_tree(Sort(scan(), Location.MIDDLEWARE, ("K",)), into=a)
+        grown = memo.class_signature(a)
+        assert grown != first and grown[0] == first[0]
+        b = memo.insert_tree(Scan("S", SCHEMA))
+        survivor = memo.merge(a, b)
+        assert memo.class_signature(a) == memo.class_signature(b)
+        assert memo.class_signature(b)[0] == survivor
+
+
 class TestClassRef:
     def test_takes_no_inputs(self):
         ref = ClassRef(class_id=1, ref_schema=SCHEMA)
