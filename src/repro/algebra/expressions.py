@@ -2,17 +2,33 @@
 
 Expressions are immutable trees.  They can be
 
-* *evaluated* — :meth:`Expression.compile` turns a tree into a fast
-  ``row -> value`` closure for a given schema;
+* *evaluated* — :meth:`Expression.compile` turns a tree into a generated
+  ``row -> value`` kernel for a given schema, and :func:`compile_tuple`
+  turns a whole select list into one tuple-returning kernel (see
+  "Generated row kernels" below);
 * *rendered* — :meth:`Expression.to_sql` produces the SQL text the
   Translator-To-SQL emits for DBMS-resident plan parts;
 * *inspected* — :func:`attributes_of` (the paper's ``attr(P)``) and
   :func:`conjuncts` support transformation-rule preconditions and
   selectivity estimation.
+
+Generated row kernels
+---------------------
+Each expression class *emits* a Python source fragment over ``row``
+(:meth:`Expression.emit`): ``row[3] < _c0``, ``_F_GREATEST(row[1], row[4])``,
+``a and b``.  :func:`build_kernel` wraps a fragment in a factory, and
+the factory is cached by its source text; building a factory is the one
+place in the package that runs generated code.  Literal values never enter the source: each becomes a ``_cN``
+placeholder bound as a factory argument.  The cache key is therefore
+literal-free (one entry per query *shape*, however many parameter values
+a workload draws), and no value can inject code.  The source is built
+only from integer column positions, fixed operator spellings and the
+whitelisted function names, and runs with no builtins in scope.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -39,12 +55,28 @@ _ARITHMETIC: dict[str, Callable[[float, float], float]] = {
     "/": operator.truediv,
 }
 
+# Python spellings of the operators above, for generated kernels.
+_COMPARISON_SOURCE = {
+    "=": "==", "<>": "!=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
+}
+_ARITHMETIC_SOURCE = {"+": "+", "-": "-", "*": "*", "/": "/"}
+
 
 class Expression:
     """Abstract base for scalar expressions."""
 
     def compile(self, schema: Schema) -> RowFunc:
-        """Return a ``row -> value`` evaluator bound to *schema*."""
+        """Return a generated ``row -> value`` kernel bound to *schema*."""
+        constants: list[object] = []
+        return build_kernel(self.emit(schema, constants), constants)
+
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        """Python source evaluating this expression over ``row``.
+
+        Column references become ``row[i]`` under *schema*; each literal
+        value is appended to *constants* and referenced as ``_cN``.  The
+        fragment is fully parenthesized, so it nests into any context.
+        """
         raise NotImplementedError
 
     def to_sql(self) -> str:
@@ -99,9 +131,8 @@ class ColumnRef(Expression):
 
     name: str
 
-    def compile(self, schema: Schema) -> RowFunc:
-        position = schema.index_of(self.name)
-        return lambda row: row[position]
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        return f"row[{schema.index_of(self.name):d}]"
 
     def to_sql(self) -> str:
         return self.name
@@ -123,9 +154,9 @@ class Literal(Expression):
     value: object
     type: AttrType | None = None
 
-    def compile(self, schema: Schema) -> RowFunc:
-        value = self.value
-        return lambda row: value
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        constants.append(self.value)
+        return f"_c{len(constants) - 1:d}"
 
     def to_sql(self) -> str:
         if isinstance(self.value, str):
@@ -163,11 +194,10 @@ class BinOp(Expression):
         if self.op not in _ARITHMETIC:
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = _ARITHMETIC[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: func(left(row), right(row))
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        left = self.left.emit(schema, constants)
+        right = self.right.emit(schema, constants)
+        return f"({left} {_ARITHMETIC_SOURCE[self.op]} {right})"
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
@@ -201,11 +231,10 @@ class Comparison(Expression):
         if self.op not in _COMPARISONS:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = _COMPARISONS[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda row: func(left(row), right(row))
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        left = self.left.emit(schema, constants)
+        right = self.right.emit(schema, constants)
+        return f"({left} {_COMPARISON_SOURCE[self.op]} {right})"
 
     def to_sql(self) -> str:
         return f"{self.left.to_sql()} {self.op} {self.right.to_sql()}"
@@ -245,9 +274,9 @@ class And(Expression):
             raise ExpressionError("empty conjunction")
         object.__setattr__(self, "terms", tuple(flattened))
 
-    def compile(self, schema: Schema) -> RowFunc:
-        funcs = [term.compile(schema) for term in self.terms]
-        return lambda row: all(func(row) for func in funcs)
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        terms = [_emit_truth(term, schema, constants) for term in self.terms]
+        return "(" + " and ".join(terms) + ")"
 
     def to_sql(self) -> str:
         return " AND ".join(
@@ -284,9 +313,9 @@ class Or(Expression):
             raise ExpressionError("empty disjunction")
         object.__setattr__(self, "terms", tuple(flattened))
 
-    def compile(self, schema: Schema) -> RowFunc:
-        funcs = [term.compile(schema) for term in self.terms]
-        return lambda row: any(func(row) for func in funcs)
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        terms = [_emit_truth(term, schema, constants) for term in self.terms]
+        return "(" + " or ".join(terms) + ")"
 
     def to_sql(self) -> str:
         return " OR ".join(t.to_sql() for t in self.terms)
@@ -310,9 +339,8 @@ class Not(Expression):
 
     term: Expression
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = self.term.compile(schema)
-        return lambda row: not func(row)
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        return f"(not {self.term.emit(schema, constants)})"
 
     def to_sql(self) -> str:
         return f"NOT ({self.term.to_sql()})"
@@ -352,10 +380,11 @@ class FuncCall(Expression):
         object.__setattr__(self, "name", upper)
         object.__setattr__(self, "args", tuple(args))
 
-    def compile(self, schema: Schema) -> RowFunc:
-        func = _FUNCTIONS[self.name]
-        arg_funcs = [arg.compile(schema) for arg in self.args]
-        return lambda row: func(*(arg(row) for arg in arg_funcs))
+    def emit(self, schema: Schema, constants: list[object]) -> str:
+        if self.name not in _FUNCTIONS:
+            raise ExpressionError(f"unknown scalar function {self.name!r}")
+        args = ", ".join(arg.emit(schema, constants) for arg in self.args)
+        return f"_F_{self.name}({args})"
 
     def to_sql(self) -> str:
         rendered = ", ".join(arg.to_sql() for arg in self.args)
@@ -378,6 +407,66 @@ class FuncCall(Expression):
 
     def _key(self) -> tuple:
         return (self.name, self.args)
+
+
+# -- generated row kernels -------------------------------------------------------
+
+#: Distinct kernel shapes kept; a shape is literal-free source text.
+KERNEL_CACHE_SIZE = 1024
+
+#: The only names generated code can reach: no builtins at all.
+_KERNEL_GLOBALS = {"__builtins__": {}} | {
+    f"_F_{name}": func for name, func in _FUNCTIONS.items()
+}
+
+#: Nodes whose value is already a bool, so ``and``/``or`` need no coercion.
+_BOOLEAN_NODES = (Comparison, And, Or, Not)
+
+
+def _emit_truth(term: Expression, schema: Schema, constants: list[object]) -> str:
+    """Emit *term* as an AND/OR operand whose value is a bool.
+
+    Python's ``and``/``or`` return an operand, not a bool; coercing the
+    non-boolean operands keeps a conjunction's value ``True``/``False``.
+    """
+    source = term.emit(schema, constants)
+    if isinstance(term, _BOOLEAN_NODES):
+        return source
+    return f"(not not {source})"
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel_factory(source: str, arity: int) -> Callable[..., RowFunc]:
+    """Compile ``lambda row: <source>`` inside a factory over ``_c0.._cN``.
+
+    Cached by the literal-free source, so each query shape is compiled
+    once.  ``lru_cache`` is thread-safe; two threads missing on the same
+    shape at once both build an identical, stateless factory.
+    """
+    params = ", ".join(f"_c{index:d}" for index in range(arity))
+    text = f"def _factory({params}):\n    return lambda row: {source}\n"
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(text, "<row kernel>", "exec"), namespace)
+    return namespace["_factory"]
+
+
+def build_kernel(source: str, constants: Sequence[object]) -> RowFunc:
+    """The ``row -> value`` kernel for an emitted fragment and its literals."""
+    return _kernel_factory(source, len(constants))(*constants)
+
+
+def compile_tuple(expressions: Sequence[Expression], schema: Schema) -> RowFunc:
+    """One kernel returning the tuple of all *expressions* over a row.
+
+    Builds a whole SELECT list or grouping key as a single function
+    (``lambda row: (row[0], row[3] * _c0)``) instead of one call per
+    output column.
+    """
+    constants: list[object] = []
+    parts = [expression.emit(schema, constants) for expression in expressions]
+    if len(parts) == 1:
+        return build_kernel(f"({parts[0]},)", constants)
+    return build_kernel("(" + ", ".join(parts) + ")", constants)
 
 
 # -- convenience constructors -------------------------------------------------

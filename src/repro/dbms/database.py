@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Sequence
 
+from repro.algebra.expressions import compile_tuple
 from repro.algebra.schema import Attribute, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.dbms.indexes import Index
@@ -223,10 +224,7 @@ class MiniDB:
                         f"INSERT arity {len(value_exprs)} does not match "
                         f"{table.name}'s {len(table.schema)} columns"
                     )
-                empty = Schema([])
-                rows.append(
-                    tuple(expression.compile(empty)(()) for expression in value_exprs)
-                )
+                rows.append(compile_tuple(value_exprs, Schema([]))(()))
             return self.insert_rows(statement.table, rows)
         if isinstance(statement, InsertSelectStmt):
             result = plan_select(self, statement.select, self.meter)

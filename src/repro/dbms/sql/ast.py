@@ -23,7 +23,7 @@ class AggregateCall(Expression):
     argument: Expression | None  # None means COUNT(*)
     distinct: bool = False
 
-    def compile(self, schema: Schema):  # pragma: no cover - defensive
+    def emit(self, schema: Schema, constants: list[object]) -> str:  # pragma: no cover
         raise ExpressionError(
             f"{self.func} is an aggregate and cannot be evaluated per-row"
         )

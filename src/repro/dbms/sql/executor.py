@@ -63,16 +63,19 @@ class ResultSet:
 
 
 def filter_rows(rows: Iterable[tuple], predicate: RowFunc, meter: CostMeter) -> RowIter:
+    charge = meter.charge_cpu
     for row in rows:
-        meter.charge_cpu(1)
+        charge(1)
         if predicate(row):
             yield row
 
 
-def project_rows(rows: Iterable[tuple], funcs: Sequence[RowFunc], meter: CostMeter) -> RowIter:
+def project_rows(rows: Iterable[tuple], kernel: RowFunc, meter: CostMeter) -> RowIter:
+    """*kernel* maps a row to its whole output tuple (``compile_tuple``)."""
+    charge = meter.charge_cpu
     for row in rows:
-        meter.charge_cpu(1)
-        yield tuple(func(row) for func in funcs)
+        charge(1)
+        yield kernel(row)
 
 
 def limit_rows(rows: Iterable[tuple], limit: int) -> RowIter:
@@ -137,38 +140,42 @@ def nested_loop_join(
 def merge_join(
     left: list[tuple],
     right: list[tuple],
-    left_key: RowFunc,
-    right_key: RowFunc,
+    left_pos: int,
+    right_pos: int,
     residual: RowFunc | None,
     meter: CostMeter,
 ) -> RowIter:
     """Sort-merge equi-join over inputs already sorted on their keys.
 
-    Handles duplicate keys on both sides (the value-pack cross product).
+    The keys are the columns at *left_pos* / *right_pos*.  Handles
+    duplicate keys on both sides (the value-pack cross product).
     """
+    charge = meter.charge_cpu
     left_index = 0
     right_index = 0
     left_count = len(left)
     right_count = len(right)
     while left_index < left_count and right_index < right_count:
-        meter.charge_cpu(1)
-        left_value = left_key(left[left_index])
-        right_value = right_key(right[right_index])
+        charge(1)
+        left_value = left[left_index][left_pos]
+        right_value = right[right_index][right_pos]
         if left_value < right_value:  # type: ignore[operator]
             left_index += 1
         elif left_value > right_value:  # type: ignore[operator]
             right_index += 1
         else:
             left_end = left_index
-            while left_end < left_count and left_key(left[left_end]) == left_value:
+            while left_end < left_count and left[left_end][left_pos] == left_value:
                 left_end += 1
             right_end = right_index
-            while right_end < right_count and right_key(right[right_end]) == left_value:
+            while right_end < right_count and right[right_end][right_pos] == left_value:
                 right_end += 1
+            right_pack = right[right_index:right_end]
             for i in range(left_index, left_end):
-                for j in range(right_index, right_end):
-                    meter.charge_cpu(1)
-                    combined = left[i] + right[j]
+                left_row = left[i]
+                for right_row in right_pack:
+                    charge(1)
+                    combined = left_row + right_row
                     if residual is None or residual(combined):
                         yield combined
             left_index = left_end
@@ -177,32 +184,37 @@ def merge_join(
 
 def hash_group(
     rows: Iterable[tuple],
-    key_funcs: Sequence[RowFunc],
+    key_func: RowFunc | None,
     aggregate_specs: Sequence[tuple[str, RowFunc | None, bool]],
     meter: CostMeter,
 ) -> RowIter:
     """Hash aggregation.
 
-    *aggregate_specs* entries are ``(func, argument_func, distinct)`` with
-    ``argument_func`` ``None`` for ``COUNT(*)``.  Output rows are
-    ``key values + aggregate results``.  With no keys, exactly one row is
-    produced (scalar aggregation), even over an empty input.
+    *key_func* maps a row to its group-key tuple (``compile_tuple``);
+    ``None`` means no grouping keys.  *aggregate_specs* entries are
+    ``(func, argument_func, distinct)`` with ``argument_func`` ``None`` for
+    ``COUNT(*)``.  Output rows are ``key values + aggregate results``.  With
+    no keys, exactly one row is produced (scalar aggregation), even over an
+    empty input.
     """
+    charge = meter.charge_cpu
+    step = 1 + len(aggregate_specs)
+    arguments = [argument for _, argument, _ in aggregate_specs]
     groups: dict[tuple, list[Accumulator]] = {}
     for row in rows:
-        meter.charge_cpu(1 + len(aggregate_specs))
-        key = tuple(func(row) for func in key_funcs)
+        charge(step)
+        key = key_func(row) if key_func is not None else ()
         accumulators = groups.get(key)
         if accumulators is None:
             accumulators = [
                 Accumulator(func, distinct) for func, _, distinct in aggregate_specs
             ]
             groups[key] = accumulators
-        for accumulator, (func, argument, _) in zip(accumulators, aggregate_specs):
+        for accumulator, argument in zip(accumulators, arguments):
             accumulator.add(1 if argument is None else argument(row))
-    if not groups and not key_funcs:
+    if not groups and key_func is None:
         empty = [Accumulator(func, distinct) for func, _, distinct in aggregate_specs]
         groups[()] = empty
     for key, accumulators in groups.items():
-        meter.charge_cpu(1)
+        charge(1)
         yield key + tuple(accumulator.result() for accumulator in accumulators)

@@ -15,6 +15,7 @@ join ordering:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.algebra.expressions import (
@@ -22,6 +23,7 @@ from repro.algebra.expressions import (
     Comparison,
     Expression,
     Literal,
+    compile_tuple,
     conjoin,
     conjuncts,
 )
@@ -208,7 +210,7 @@ def _plan_core(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
         Attribute(name, expression.result_type(row_schema))
         for name, expression in output_items
     )
-    funcs = [expression.compile(row_schema) for _, expression in output_items]
+    kernel = compile_tuple([expression for _, expression in output_items], row_schema)
 
     order_by = stmt.order_by
     presort = _presort_items(order_by, output_schema, scope, group_exprs)
@@ -216,7 +218,7 @@ def _plan_core(db: "MiniDB", stmt: SelectStmt, meter: CostMeter) -> ResultSet:
         rows = _apply_order(list(rows), presort, row_schema, meter)
         order_by = ()
 
-    rows = project_rows(rows, funcs, meter)
+    rows = project_rows(rows, kernel, meter)
     if stmt.distinct:
         rows = distinct_rows(rows, meter)
     if order_by:
@@ -320,20 +322,15 @@ def _join_sources(
             left_pos = scope.combined.index_of(left_name)
             right_pos = scope.combined.index_of(right_name) - prefix_width
             left_sorted = sort_rows(
-                rows, lambda row, p=left_pos: (row[p],), meter,
+                rows, itemgetter(left_pos), meter,
                 row_width=scope.combined.row_width,
             )
             right_sorted = sort_rows(
-                inner_rows, lambda row, p=right_pos: (row[p],), meter,
+                inner_rows, itemgetter(right_pos), meter,
                 row_width=source.schema.row_width,
             )
             rows = merge_join(
-                left_sorted,
-                right_sorted,
-                lambda row, p=left_pos: row[p],
-                lambda row, p=right_pos: row[p],
-                residual_func,
-                meter,
+                left_sorted, right_sorted, left_pos, right_pos, residual_func, meter
             )
         else:
             condition = conjoin(evaluable)
@@ -525,7 +522,7 @@ def _apply_grouping(
     aggregate_calls: list[AggregateCall],
     meter: CostMeter,
 ) -> tuple[Iterable[tuple], Schema, dict[Expression, Expression]]:
-    key_funcs = [expression.compile(schema) for expression in group_exprs]
+    key_func = compile_tuple(group_exprs, schema) if group_exprs else None
     spec_list: list[tuple[str, Callable | None, bool]] = []
     for call in aggregate_calls:
         argument_func = (
@@ -544,7 +541,7 @@ def _apply_grouping(
         attributes.append(Attribute(name, call.result_type(schema)))
         mapping[call] = ColumnRef(name)
     grouped_schema = Schema(attributes)
-    grouped = hash_group(rows, key_funcs, spec_list, meter)
+    grouped = hash_group(rows, key_func, spec_list, meter)
     return grouped, grouped_schema, mapping
 
 
@@ -559,10 +556,9 @@ def _apply_order(
 ) -> list[tuple]:
     """Stable multi-key sort honouring per-key direction."""
     for item in reversed(order_by):
-        func = item.expression.compile(schema)
         rows = sort_rows(
             rows,
-            lambda row, f=func: f(row),
+            item.expression.compile(schema),
             meter,
             reverse=not item.ascending,
             row_width=schema.row_width,

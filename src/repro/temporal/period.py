@@ -69,7 +69,7 @@ class Period:
 
 
 def overlaps(start1: int, end1: int, start2: int, end2: int) -> bool:
-    """Overlap test on raw bounds — the hot-path form used by operators."""
+    """Overlap test on raw bounds (operators inline the same test)."""
     return start1 < end2 and end1 > start2
 
 

@@ -41,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.algebra.expressions import compile_tuple
 from repro.algebra.operators import (
     Coalesce,
     Operator,
@@ -166,13 +167,8 @@ def evaluate(node: Operator, rows_of: Callable[[str], list[tuple]]) -> list[tupl
         predicate = node.predicate.compile(node.input.schema)
         return [row for row in evaluate(node.input, rows_of) if predicate(row)]
     if isinstance(node, Project):
-        outputs = [
-            expression.compile(node.input.schema) for _, expression in node.outputs
-        ]
-        return [
-            tuple(output(row) for output in outputs)
-            for row in evaluate(node.input, rows_of)
-        ]
+        kernel = compile_tuple([e for _, e in node.outputs], node.input.schema)
+        return list(map(kernel, evaluate(node.input, rows_of)))
     if isinstance(node, TemporalAggregate):
         return _taggr_rows(node, evaluate(node.input, rows_of))
     if isinstance(node, Coalesce):
@@ -268,14 +264,8 @@ def compute_delta(node: Operator, state: DeltaState) -> Delta:
         delta = compute_delta(node.input, state)
         if delta.empty():
             return delta
-        outputs = [
-            expression.compile(node.input.schema) for _, expression in node.outputs
-        ]
-
-        def mapped(rows: list[tuple]) -> list[tuple]:
-            return [tuple(output(row) for output in outputs) for row in rows]
-
-        return Delta(mapped(delta.inserts), mapped(delta.deletes))
+        kernel = compile_tuple([e for _, e in node.outputs], node.input.schema)
+        return Delta(list(map(kernel, delta.inserts)), list(map(kernel, delta.deletes)))
     if isinstance(node, TemporalJoin):
         return _temporal_join_delta(node, state)
     if isinstance(node, TemporalAggregate):

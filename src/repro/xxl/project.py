@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algebra.expressions import ColumnRef, Expression, col
+from repro.algebra.expressions import ColumnRef, Expression, col, compile_tuple
 from repro.algebra.schema import Attribute, Schema
 from repro.dbms.costmodel import CostMeter
 from repro.xxl.columnar import ColumnBatch, ColumnarUnsupported, compile_columnar
@@ -22,7 +22,8 @@ class ProjectCursor(Cursor):
     ):
         self._input = input
         self._outputs = tuple(outputs)
-        self._funcs: list | None = None
+        #: Generated ``row -> output tuple`` kernel for the row path.
+        self._kernel = None
         self._meter = meter
         #: Input positions when every output is a bare column reference —
         #: the zero-copy columnar case (pure slicing/renaming).
@@ -43,7 +44,7 @@ class ProjectCursor(Cursor):
             Attribute(name, expression.result_type(source))
             for name, expression in self._outputs
         )
-        self._funcs = [expression.compile(source) for _, expression in self._outputs]
+        self._kernel = compile_tuple([e for _, e in self._outputs], source)
         self._positions = None
         self._columnar_funcs = None
         if self.columnar != "off":
@@ -61,13 +62,13 @@ class ProjectCursor(Cursor):
                     self._columnar_funcs = None
 
     def _next(self) -> tuple:
-        assert self._funcs is not None
+        assert self._kernel is not None
         if not self._input.has_next():
             raise StopIteration
         row = self._input.next()
         if self._meter is not None:
             self._meter.charge_cpu(1)
-        return tuple(func(row) for func in self._funcs)
+        return self._kernel(row)
 
     def _next_batch(self, n: int) -> list[tuple]:
         if self._positions is not None or self._columnar_funcs is not None:
@@ -76,12 +77,12 @@ class ProjectCursor(Cursor):
         return self._row_next_batch(n)
 
     def _row_next_batch(self, n: int) -> list[tuple]:
-        funcs = self._funcs
-        assert funcs is not None
+        kernel = self._kernel
+        assert kernel is not None
         batch = self._input.next_batch(n)
         if self._meter is not None and batch:
             self._meter.charge_cpu(len(batch))
-        return [tuple(func(row) for func in funcs) for row in batch]
+        return list(map(kernel, batch))
 
     def _next_column_batch(self, n: int) -> ColumnBatch | None:
         if self._positions is None and self._columnar_funcs is None:
@@ -105,10 +106,7 @@ class ProjectCursor(Cursor):
             # Exact row semantics for the offending batch (errors raise at
             # the same row the row path would reach).
             self.columnar_fallbacks += 1
-            funcs = self._funcs
-            rows = [
-                tuple(func(row) for func in funcs) for row in batch.to_rows()
-            ]
+            rows = list(map(self._kernel, batch.to_rows()))
             return ColumnBatch.from_rows(self.schema, rows, batch.backend)
 
     def _close(self) -> None:

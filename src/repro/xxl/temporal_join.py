@@ -12,11 +12,12 @@ then ``T1``/``T2`` with the intersection.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
+from repro.algebra.expressions import col, compile_tuple
 from repro.algebra.schema import Attribute, AttrType, Schema
 from repro.dbms.costmodel import CostMeter
-from repro.temporal.period import overlaps
 from repro.xxl.cursor import BatchReader, Cursor, GeneratorCursor
 from repro.xxl.merge_join import read_group
 
@@ -53,8 +54,13 @@ class TemporalJoinCursor(GeneratorCursor):
             list(combined)
             + [Attribute(t1, AttrType.DATE), Attribute(t2, AttrType.DATE)]
         )
-        self._left_keep = [self._left.schema.index_of(a.name) for a in left_keep]
-        self._right_keep = [self._right.schema.index_of(a.name) for a in right_keep]
+        # Kept-columns kernels: one generated call per input row.
+        self._left_values = compile_tuple(
+            [col(a.name) for a in left_keep], self._left.schema
+        )
+        self._right_values = compile_tuple(
+            [col(a.name) for a in right_keep], self._right.schema
+        )
         super()._open()
 
     def _generate(self) -> Iterator[tuple]:
@@ -67,8 +73,9 @@ class TemporalJoinCursor(GeneratorCursor):
         left_t2 = left_schema.index_of(t2)
         right_t1 = right_schema.index_of(t1)
         right_t2 = right_schema.index_of(t2)
-        left_keep = self._left_keep
-        right_keep = self._right_keep
+        left_values = self._left_values
+        right_values = self._right_values
+        right_start = itemgetter(right_t1)
         meter = self._meter
 
         left_reader = BatchReader(self._left, self.batch_size)
@@ -90,24 +97,25 @@ class TemporalJoinCursor(GeneratorCursor):
                 # Within a value pack, check every period pair; packs are
                 # small for realistic keys, and sorting the pack by start
                 # time lets us stop early.
-                right_group.sort(key=lambda row: row[right_t1])
+                right_group.sort(key=right_start)
+                right_pack = [
+                    (r_row[right_t1], r_row[right_t2], right_values(r_row))
+                    for r_row in right_group
+                ]
                 for l_row in left_group:
                     l_start = l_row[left_t1]
                     l_end = l_row[left_t2]
-                    l_values = tuple(l_row[i] for i in left_keep)
-                    for r_row in right_group:
-                        r_start = r_row[right_t1]
+                    l_values = left_values(l_row)
+                    for r_start, r_end, r_values in right_pack:
                         if r_start >= l_end:
                             break  # sorted by start: nothing later overlaps
                         if meter is not None:
                             meter.charge_cpu(1)
-                        r_end = r_row[right_t2]
-                        if overlaps(l_start, l_end, r_start, r_end):
+                        # Inline overlap test: A.T1 < B.T2 AND A.T2 > B.T1.
+                        if l_start < r_end and l_end > r_start:
                             start = l_start if l_start > r_start else r_start
                             end = l_end if l_end < r_end else r_end
-                            yield l_values + tuple(
-                                r_row[i] for i in right_keep
-                            ) + (start, end)
+                            yield l_values + r_values + (start, end)
 
     def _close(self) -> None:
         super()._close()
